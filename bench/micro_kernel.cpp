@@ -8,16 +8,20 @@
 // regenerates BENCH_kernel.json from these numbers.
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/paper.hpp"
 #include "core/systems.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
+#include "sched/conservative_backfill.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/first_fit.hpp"
+#include "sched/sjf.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -269,6 +273,50 @@ void BM_SchedulerSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerSelect)->Arg(64)->Arg(1024);
 
+// One select call per HTC scheduler on a fixed scheduling instant: 64
+// queued and 48 running jobs of widths 1-32, 32 idle nodes. Conservative
+// backfilling rebuilds its availability profile on every call, so this row
+// catches a return to a quadratic profile.
+void SchedulerSelectByKind(benchmark::State& state,
+                           const sched::Scheduler* scheduler) {
+  constexpr SimTime kNow = 100'000;
+  Rng rng(11);
+  std::vector<sched::Job> queued(64);
+  std::vector<sched::Job> running(48);
+  for (auto& job : queued) {
+    job.nodes = rng.uniform_int(1, 32);
+    job.runtime = rng.uniform_int(60, 7200);
+  }
+  for (auto& job : running) {
+    job.nodes = rng.uniform_int(1, 32);
+    job.runtime = rng.uniform_int(60, 7200);
+    job.start = kNow - rng.uniform_int(0, job.runtime - 1);
+  }
+  std::vector<const sched::Job*> queue;
+  std::vector<const sched::Job*> running_view;
+  for (const auto& job : queued) queue.push_back(&job);
+  for (const auto& job : running) running_view.push_back(&job);
+  for (auto _ : state) {
+    auto picks = scheduler->select(queue, running_view, 32, kNow);
+    benchmark::DoNotOptimize(picks);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(queue.size()));
+}
+const sched::FirstFitScheduler kFirstFit;
+const sched::EasyBackfillScheduler kEasyBackfill;
+const sched::ConservativeBackfillScheduler kConservativeBackfill;
+const sched::SjfScheduler kSjf;
+BENCHMARK_CAPTURE(SchedulerSelectByKind, first_fit, &kFirstFit)
+    ->Name("BM_SchedulerSelect/first-fit");
+BENCHMARK_CAPTURE(SchedulerSelectByKind, easy_backfill, &kEasyBackfill)
+    ->Name("BM_SchedulerSelect/easy-backfill");
+BENCHMARK_CAPTURE(SchedulerSelectByKind, conservative_backfill,
+                  &kConservativeBackfill)
+    ->Name("BM_SchedulerSelect/conservative-backfill");
+BENCHMARK_CAPTURE(SchedulerSelectByKind, sjf, &kSjf)
+    ->Name("BM_SchedulerSelect/sjf");
+
 void BM_FullSystemRun(benchmark::State& state) {
   const auto model = static_cast<core::SystemModel>(state.range(0));
   const auto workload = core::paper_consolidation();
@@ -287,24 +335,35 @@ BENCHMARK(BM_FullSystemRun)
 // the cost of running with every observability hook on; the profiler's
 // counter block (profile_dispatch_ns, ...) is published as user counters
 // so bench_to_json carries the kernel phase breakdown into
-// BENCH_kernel.json alongside the throughput numbers.
+// BENCH_kernel.json alongside the throughput numbers. Profilers and trace
+// sinks accumulate, so each run gets fresh ones and every counter is the
+// mean over runs: the same per-run values whatever the iteration count.
 void BM_ProfiledSystemRun(benchmark::State& state) {
   const auto workload = core::paper_consolidation();
-  obs::PhaseProfiler profiler;
-  obs::TraceSink sink;
-  core::RunOptions options;
-  options.profile = &profiler;
-  options.trace = &sink;
+  std::map<std::string, double> totals;
   for (auto _ : state) {
+    state.PauseTiming();
+    auto profiler = std::make_unique<obs::PhaseProfiler>();
+    auto sink = std::make_unique<obs::TraceSink>();
+    core::RunOptions options;
+    options.profile = profiler.get();
+    options.trace = sink.get();
+    state.ResumeTiming();
     auto result =
         core::run_system(core::SystemModel::kDawningCloud, workload, options);
     benchmark::DoNotOptimize(result);
+    state.PauseTiming();
+    for (const auto& [name, value] : profiler->counters()) {
+      totals[name] += value;
+    }
+    profiler.reset();
+    sink.reset();
+    state.ResumeTiming();
   }
-  for (const auto& [name, value] : profiler.counters()) {
-    state.counters[name] = value;
+  for (const auto& [name, total] : totals) {
+    state.counters[name] =
+        benchmark::Counter(total, benchmark::Counter::kAvgIterations);
   }
-  state.counters["trace_events_emitted"] =
-      static_cast<double>(sink.emitted());
 }
 BENCHMARK(BM_ProfiledSystemRun)->Unit(benchmark::kMillisecond);
 

@@ -124,6 +124,29 @@ TEST(ConservativeBackfill, JobEndingThisInstantIsNotYetFree) {
   EXPECT_LE(total, 16);
 }
 
+TEST(ConservativeBackfill, HeadTakingEveryIdleNodeEndsThePicks) {
+  // Machine of 12: 8 idle, a running job holds 4 until t=200. j0 takes all
+  // 8 idle nodes, so nothing else can start now; j1 (12-wide) is reserved
+  // at t=1000, and the narrow j2 fits the gap [200, 1000) before it — a
+  // future start, not a pick.
+  std::vector<Job> running_jobs = make_jobs({4}, {200});
+  running_jobs[0].start = 0;
+  const auto queued = make_jobs({8, 12, 4}, {1000, 100, 300});
+  ConservativeBackfillScheduler scheduler;
+  EXPECT_EQ(scheduler.select(views(queued), views(running_jobs), 8, 0),
+            std::vector<std::size_t>{0});
+}
+
+TEST(ConservativeBackfill, KeepsPickingWhileANarrowerJobFitsNow) {
+  // 8 idle nodes. After j0 takes 4, the blocked 8-wide head j1 is wider
+  // than the 4 still free, but the narrow j2 fits them and ends before
+  // j1's reservation at t=1000, so the queue scan must not stop at j1.
+  const auto queued = make_jobs({4, 8, 4}, {1000, 100, 500});
+  ConservativeBackfillScheduler scheduler;
+  EXPECT_EQ(scheduler.select(views(queued), {}, 8, 0),
+            (std::vector<std::size_t>{0, 2}));
+}
+
 TEST(EasyBackfill, JobEndingThisInstantIsNotYetFree) {
   std::vector<Job> running_jobs = make_jobs({12}, {5});
   running_jobs[0].start = 0;
