@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <charconv>
 #include <cstddef>
-#include <fstream>
+#include <cstring>
+#include <type_traits>
 
 #include "util/fsio.hpp"
 #include "util/histogram.hpp"
@@ -15,7 +18,15 @@ namespace {
 // Sim seconds → Chrome trace microseconds.
 constexpr std::int64_t kMicrosPerSecond = 1000000;
 
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
 void append_escaped(std::string& out, std::string_view text) {
+  if (std::none_of(text.begin(), text.end(), needs_escape)) {
+    out += text;
+    return;
+  }
   for (char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -25,7 +36,10 @@ void append_escaped(std::string& out, std::string_view text) {
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          out += str_format("\\u%04x", c);
+          constexpr char kHex[] = "0123456789abcdef";
+          const char code[] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xf],
+                               kHex[c & 0xf]};
+          out.append(code, sizeof(code));
         } else {
           out += c;
         }
@@ -33,25 +47,29 @@ void append_escaped(std::string& out, std::string_view text) {
   }
 }
 
-void put_u32le(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+// Decimal text exactly as printf's %u / %lld writes it.
+template <typename Int>
+void append_int(std::string& out, Int value) {
+  char digits[24];
+  out.append(digits, std::to_chars(digits, digits + sizeof(digits), value).ptr);
 }
 
-void put_u64le(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t get_u32le(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-
-std::uint64_t get_u64le(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
+// The packed snapshot layout (kTraceEventPacked) is the struct's own
+// little-endian layout minus its tail padding, so one copy packs or
+// unpacks an event.
+static_assert(std::endian::native == std::endian::little,
+              "the trace ring blob copies events in host byte order");
+static_assert(std::is_trivially_copyable_v<TraceEvent> &&
+                  std::is_standard_layout_v<TraceEvent> &&
+                  offsetof(TraceEvent, dur) == 8 &&
+                  offsetof(TraceEvent, a0) == 16 &&
+                  offsetof(TraceEvent, a1) == 24 &&
+                  offsetof(TraceEvent, name) == 32 &&
+                  offsetof(TraceEvent, actor) == 36 &&
+                  offsetof(TraceEvent, category) == 40 &&
+                  offsetof(TraceEvent, phase) == 42 &&
+                  kTraceEventPacked == 44,
+              "TraceEvent's layout no longer matches the packed blob");
 
 // Exports go through util/fsio's atomic tmp+fsync+rename: an interrupted
 // export leaves either the previous complete trace or nothing, never a
@@ -219,64 +237,71 @@ void TraceSink::span(SimTime start, SimDuration dur, TraceCategory category,
 std::vector<TraceEvent> TraceSink::events() const {
   std::vector<TraceEvent> out;
   out.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
+  for_each_event([&out](const TraceEvent& event) { out.push_back(event); });
   return out;
 }
 
 std::vector<std::uint64_t> TraceSink::category_counts() const {
   std::vector<std::uint64_t> counts(
       static_cast<std::size_t>(TraceCategory::kCategoryCount), 0);
-  for (std::size_t i = 0; i < size_; ++i) {
-    const auto& event = ring_[(head_ + i) % ring_.size()];
+  for_each_event([&counts](const TraceEvent& event) {
     if (event.category < counts.size()) ++counts[event.category];
-  }
+  });
   return counts;
 }
 
 std::string TraceSink::chrome_json() const {
-  const auto recorded = events();
   // Actors referenced by recorded events become named tid tracks;
-  // metadata records go first, in ascending tid order.
+  // metadata records go first, in ascending tid order. Every name is
+  // escaped once up front, not once per event that carries it.
   std::vector<bool> used(names_.size(), false);
-  for (const auto& event : recorded) used[event.actor] = true;
+  for_each_event([&used](const TraceEvent& event) { used[event.actor] = true; });
+  std::vector<std::string> escaped(names_.size());
+  std::size_t name_bytes = 0;
+  for (std::size_t id = 0; id < names_.size(); ++id) {
+    append_escaped(escaped[id], names_[id]);
+    name_bytes += escaped[id].size();
+  }
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  // A traced paper run averages ~114 bytes per event; the reserve covers
+  // that and the metadata records, so the buffer is allocated once.
+  out.reserve(out.size() + 80 * names_.size() + name_bytes + 128 * size_);
   bool first = true;
   for (std::uint32_t id = 0; id < used.size(); ++id) {
     if (!used[id]) continue;
     if (!first) out += ",\n";
     first = false;
-    out += str_format("{\"ph\":\"M\",\"pid\":1,\"tid\":%u,"
-                      "\"name\":\"thread_name\",\"args\":{\"name\":\"",
-                      id + 1);
-    append_escaped(out, names_[id]);
+    out += "{\"ph\":\"M\",\"pid\":1,\"tid\":";
+    append_int(out, id + 1);
+    out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+    out += escaped[id];
     out += "\"}}";
   }
-  for (const auto& event : recorded) {
+  for_each_event([&](const TraceEvent& event) {
     if (!first) out += ",\n";
     first = false;
-    const auto category = static_cast<TraceCategory>(event.category);
+    out += event.phase == 1 ? "{\"ph\":\"X\",\"pid\":1,\"tid\":"
+                            : "{\"ph\":\"i\",\"pid\":1,\"tid\":";
+    append_int(out, event.actor + 1);
+    out += ",\"ts\":";
+    append_int(out, event.time * kMicrosPerSecond);
     if (event.phase == 1) {
-      out += str_format(
-          "{\"ph\":\"X\",\"pid\":1,\"tid\":%u,\"ts\":%lld,\"dur\":%lld,",
-          event.actor + 1,
-          static_cast<long long>(event.time * kMicrosPerSecond),
-          static_cast<long long>(event.dur * kMicrosPerSecond));
+      out += ",\"dur\":";
+      append_int(out, event.dur * kMicrosPerSecond);
+      out += ",\"name\":\"";
     } else {
-      out += str_format(
-          "{\"ph\":\"i\",\"pid\":1,\"tid\":%u,\"ts\":%lld,\"s\":\"t\",",
-          event.actor + 1,
-          static_cast<long long>(event.time * kMicrosPerSecond));
+      out += ",\"s\":\"t\",\"name\":\"";
     }
-    out += "\"name\":\"";
-    append_escaped(out, names_[event.name]);
+    out += escaped[event.name];
     out += "\",\"cat\":\"";
-    append_escaped(out, trace_category_name(category));
-    out += str_format("\",\"args\":{\"a0\":%lld,\"a1\":%lld}}",
-                      static_cast<long long>(event.a0),
-                      static_cast<long long>(event.a1));
-  }
+    append_escaped(out, trace_category_name(
+                            static_cast<TraceCategory>(event.category)));
+    out += "\",\"args\":{\"a0\":";
+    append_int(out, event.a0);
+    out += ",\"a1\":";
+    append_int(out, event.a1);
+    out += "}}";
+  });
   out += "\n]}\n";
   return out;
 }
@@ -286,16 +311,31 @@ Status TraceSink::export_chrome_json(const std::string& path) const {
 }
 
 std::string TraceSink::csv() const {
-  std::string out = "time,category,phase,name,actor,dur,a0,a1\n";
-  for (const auto& event : events()) {
-    out += str_format(
-        "%lld,%s,%s,%s,%s,%lld,%lld,%lld\n",
-        static_cast<long long>(event.time),
-        trace_category_name(static_cast<TraceCategory>(event.category)),
-        event.phase == 1 ? "span" : "instant", names_[event.name].c_str(),
-        names_[event.actor].c_str(), static_cast<long long>(event.dur),
-        static_cast<long long>(event.a0), static_cast<long long>(event.a1));
+  // Names are written as C strings (cut at an embedded NUL), as %s did.
+  std::vector<std::string_view> text(names_.size());
+  std::size_t name_bytes = 0;
+  for (std::size_t id = 0; id < names_.size(); ++id) {
+    text[id] = names_[id].c_str();
+    name_bytes += text[id].size();
   }
+  std::string out = "time,category,phase,name,actor,dur,a0,a1\n";
+  out.reserve(out.size() + name_bytes + 80 * size_);
+  for_each_event([&](const TraceEvent& event) {
+    append_int(out, event.time);
+    out += ',';
+    out += trace_category_name(static_cast<TraceCategory>(event.category));
+    out += event.phase == 1 ? ",span," : ",instant,";
+    out += text[event.name];
+    out += ',';
+    out += text[event.actor];
+    out += ',';
+    append_int(out, event.dur);
+    out += ',';
+    append_int(out, event.a0);
+    out += ',';
+    append_int(out, event.a1);
+    out += '\n';
+  });
   return out;
 }
 
@@ -311,18 +351,12 @@ void TraceSink::save(snapshot::SnapshotWriter& writer) const {
   writer.field_u64("dropped", dropped_);
   writer.field_u64("names", names_.size());
   for (const auto& name : names_) writer.field_str("name", name);
-  std::string blob;
-  blob.reserve(size_ * kTraceEventPacked);
-  for (const auto& event : events()) {
-    put_u64le(blob, static_cast<std::uint64_t>(event.time));
-    put_u64le(blob, static_cast<std::uint64_t>(event.dur));
-    put_u64le(blob, static_cast<std::uint64_t>(event.a0));
-    put_u64le(blob, static_cast<std::uint64_t>(event.a1));
-    put_u32le(blob, event.name);
-    put_u32le(blob, event.actor);
-    put_u32le(blob, (static_cast<std::uint32_t>(event.phase) << 16) |
-                        event.category);
-  }
+  std::string blob(size_ * kTraceEventPacked, '\0');
+  char* p = blob.data();
+  for_each_event([&p](const TraceEvent& event) {
+    std::memcpy(p, &event, kTraceEventPacked);
+    p += kTraceEventPacked;
+  });
   writer.field_u64("events", size_);
   writer.field_bytes("ring", blob.data(), blob.size());
   writer.end_section();
@@ -370,15 +404,7 @@ Status TraceSink::restore(snapshot::SnapshotReader& reader) {
   const char* p = blob.data();
   for (std::uint64_t i = 0; i < event_count; ++i, p += kTraceEventPacked) {
     TraceEvent event;
-    event.time = static_cast<SimTime>(get_u64le(p));
-    event.dur = static_cast<SimDuration>(get_u64le(p + 8));
-    event.a0 = static_cast<std::int64_t>(get_u64le(p + 16));
-    event.a1 = static_cast<std::int64_t>(get_u64le(p + 24));
-    event.name = get_u32le(p + 32);
-    event.actor = get_u32le(p + 36);
-    const std::uint32_t packed = get_u32le(p + 40);
-    event.category = static_cast<std::uint16_t>(packed & 0xffff);
-    event.phase = static_cast<std::uint16_t>(packed >> 16);
+    std::memcpy(static_cast<void*>(&event), p, kTraceEventPacked);
     if (event.name >= names_.size() || event.actor >= names_.size()) {
       return Status::internal("trace event references unknown name id");
     }
@@ -417,21 +443,37 @@ struct Cursor {
   }
 };
 
-Status parse_json_string(Cursor& cur, std::string& out) {
+// Reads a string token. Text without escapes is viewed in place; text
+// with escapes is decoded into `scratch`, which `out` then views.
+Status parse_json_string(Cursor& cur, std::string& scratch,
+                         std::string_view& out) {
   if (!cur.eat('"')) return cur.fail("expected string");
-  out.clear();
+  const std::size_t start = cur.pos;
+  while (cur.pos < cur.text.size() && cur.text[cur.pos] != '"' &&
+         cur.text[cur.pos] != '\\') {
+    ++cur.pos;
+  }
+  if (cur.pos < cur.text.size() && cur.text[cur.pos] == '"') {
+    out = cur.text.substr(start, cur.pos - start);
+    ++cur.pos;
+    return Status::ok();
+  }
+  scratch.assign(cur.text.substr(start, cur.pos - start));
   while (cur.pos < cur.text.size()) {
     char c = cur.text[cur.pos++];
-    if (c == '"') return Status::ok();
+    if (c == '"') {
+      out = scratch;
+      return Status::ok();
+    }
     if (c == '\\') {
       if (cur.pos >= cur.text.size()) break;
       char esc = cur.text[cur.pos++];
       switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
+        case '"': scratch += '"'; break;
+        case '\\': scratch += '\\'; break;
+        case 'n': scratch += '\n'; break;
+        case 'r': scratch += '\r'; break;
+        case 't': scratch += '\t'; break;
         case 'u': {
           if (cur.pos + 4 > cur.text.size()) return cur.fail("bad \\u escape");
           int code = 0;
@@ -443,13 +485,13 @@ Status parse_json_string(Cursor& cur, std::string& out) {
             else if (h >= 'A' && h <= 'F') code |= h - 'A' + 10;
             else return cur.fail("bad \\u escape");
           }
-          out += static_cast<char>(code);
+          scratch += static_cast<char>(code);
           break;
         }
         default: return cur.fail("unsupported escape");
       }
     } else {
-      out += c;
+      scratch += c;
     }
   }
   return cur.fail("unterminated string");
@@ -464,9 +506,16 @@ Status parse_json_int(Cursor& cur, std::int64_t& out) {
     ++cur.pos;
   }
   if (cur.pos == start) return cur.fail("expected integer");
-  auto parsed = parse_int(cur.text.substr(start, cur.pos - start));
-  if (!parsed.is_ok()) return cur.fail("bad integer");
-  out = parsed.value();
+  // The limits of util's parse_int: a token of 32 or more characters, a
+  // lone '-' and a value outside int64 are all rejected.
+  const char* first = cur.text.data() + start;
+  const char* last = cur.text.data() + cur.pos;
+  std::int64_t value = 0;
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (last - first >= 32 || ec != std::errc() || end != last) {
+    return cur.fail("bad integer");
+  }
+  out = value;
   return Status::ok();
 }
 
@@ -477,25 +526,36 @@ struct RawRecord {
   std::string args_name;  // metadata thread_name payload
 };
 
-Status parse_record(Cursor& cur, RawRecord& rec) {
+// Scratch space for escaped keys and values, reused across records. A
+// key and its value are decoded into different buffers, since the key is
+// still compared after its value is read.
+struct Scratch {
+  std::string key, value;
+};
+
+Status parse_record(Cursor& cur, Scratch& scratch, RawRecord& rec) {
   if (!cur.eat('{')) return cur.fail("expected record object");
   if (cur.eat('}')) return Status::ok();
   while (true) {
-    std::string key;
-    if (Status s = parse_json_string(cur, key); !s.is_ok()) return s;
+    std::string_view key;
+    if (Status s = parse_json_string(cur, scratch.key, key); !s.is_ok()) return s;
     if (!cur.eat(':')) return cur.fail("expected ':'");
     cur.skip_ws();
     if (key == "args") {
       if (!cur.eat('{')) return cur.fail("expected args object");
       if (!cur.eat('}')) {
         while (true) {
-          std::string arg_key;
-          if (Status s = parse_json_string(cur, arg_key); !s.is_ok()) return s;
+          std::string_view arg_key;
+          if (Status s = parse_json_string(cur, scratch.key, arg_key); !s.is_ok()) {
+            return s;
+          }
           if (!cur.eat(':')) return cur.fail("expected ':'");
           cur.skip_ws();
           if (cur.pos < cur.text.size() && cur.text[cur.pos] == '"') {
-            std::string value;
-            if (Status s = parse_json_string(cur, value); !s.is_ok()) return s;
+            std::string_view value;
+            if (Status s = parse_json_string(cur, scratch.value, value); !s.is_ok()) {
+              return s;
+            }
             if (arg_key == "name") rec.args_name = value;
           } else {
             std::int64_t value = 0;
@@ -509,8 +569,10 @@ Status parse_record(Cursor& cur, RawRecord& rec) {
         }
       }
     } else if (cur.pos < cur.text.size() && cur.text[cur.pos] == '"') {
-      std::string value;
-      if (Status s = parse_json_string(cur, value); !s.is_ok()) return s;
+      std::string_view value;
+      if (Status s = parse_json_string(cur, scratch.value, value); !s.is_ok()) {
+        return s;
+      }
       if (key == "ph") rec.ph = value;
       if (key == "name") rec.name = value;
       if (key == "cat") rec.cat = value;
@@ -527,6 +589,11 @@ Status parse_record(Cursor& cur, RawRecord& rec) {
   }
 }
 
+// No exported event record is shorter than this (an instant with an
+// empty name is 86 bytes), so for the exporter's output the input size
+// bounds the event count and the output vector is allocated once.
+constexpr std::size_t kMinRecordBytes = 80;
+
 }  // namespace
 
 StatusOr<std::vector<ParsedTraceEvent>> parse_chrome_json(
@@ -534,11 +601,13 @@ StatusOr<std::vector<ParsedTraceEvent>> parse_chrome_json(
   Cursor cur{json};
   if (!cur.eat('{')) return cur.fail("expected top-level object");
   std::vector<ParsedTraceEvent> out;
+  out.reserve(json.size() / kMinRecordBytes);
   std::map<std::int64_t, std::string> tracks;
+  Scratch scratch;
   bool saw_events = false;
   while (true) {
-    std::string key;
-    if (Status s = parse_json_string(cur, key); !s.is_ok()) return s;
+    std::string_view key;
+    if (Status s = parse_json_string(cur, scratch.key, key); !s.is_ok()) return s;
     if (!cur.eat(':')) return cur.fail("expected ':'");
     if (key == "traceEvents") {
       saw_events = true;
@@ -546,13 +615,13 @@ StatusOr<std::vector<ParsedTraceEvent>> parse_chrome_json(
       if (!cur.eat(']')) {
         while (true) {
           RawRecord rec;
-          if (Status s = parse_record(cur, rec); !s.is_ok()) return s;
+          if (Status s = parse_record(cur, scratch, rec); !s.is_ok()) return s;
           if (rec.ph == "M") {
-            if (rec.name == "thread_name") tracks[rec.tid] = rec.args_name;
+            if (rec.name == "thread_name") tracks[rec.tid] = std::move(rec.args_name);
           } else {
-            ParsedTraceEvent event;
-            event.name = rec.name;
-            event.category = rec.cat;
+            ParsedTraceEvent& event = out.emplace_back();
+            event.name = std::move(rec.name);
+            event.category = std::move(rec.cat);
             auto track = tracks.find(rec.tid);
             event.actor = track == tracks.end() ? str_format("tid%lld",
                               static_cast<long long>(rec.tid))
@@ -562,7 +631,6 @@ StatusOr<std::vector<ParsedTraceEvent>> parse_chrome_json(
             event.dur_us = rec.dur;
             event.a0 = rec.a0;
             event.a1 = rec.a1;
-            out.push_back(std::move(event));
           }
           if (cur.eat(',')) continue;
           if (cur.eat(']')) break;
@@ -570,8 +638,10 @@ StatusOr<std::vector<ParsedTraceEvent>> parse_chrome_json(
         }
       }
     } else {
-      std::string ignored;
-      if (Status s = parse_json_string(cur, ignored); !s.is_ok()) return s;
+      std::string_view ignored;
+      if (Status s = parse_json_string(cur, scratch.value, ignored); !s.is_ok()) {
+        return s;
+      }
     }
     if (cur.eat(',')) continue;
     if (cur.eat('}')) break;
@@ -583,11 +653,12 @@ StatusOr<std::vector<ParsedTraceEvent>> parse_chrome_json(
 
 StatusOr<std::vector<ParsedTraceEvent>> read_chrome_trace(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::not_found("cannot open trace: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto parsed = parse_chrome_json(text);
+  auto text = read_file(path);
+  if (!text.is_ok()) {
+    if (text.status().code() != StatusCode::kNotFound) return text.status();
+    return Status::not_found("cannot open trace: " + path);
+  }
+  auto parsed = parse_chrome_json(*text);
   if (!parsed.is_ok()) {
     return Status(parsed.status().code(),
                   path + ": " + parsed.status().message());

@@ -24,6 +24,7 @@
 // every emission site out entirely (arguments unevaluated).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -78,7 +79,9 @@ struct TraceEvent {
   std::uint16_t phase = 0;  // 0 = instant, 1 = span
 };
 
-/// Serialized size of one TraceEvent in the snapshot blob.
+/// Serialized size of one TraceEvent in the snapshot blob: the struct's
+/// fields in declaration order, little-endian, without its tail padding
+/// (category and phase read together as one u32, phase in the high half).
 inline constexpr std::size_t kTraceEventPacked = 44;
 
 /// An event decoded back out of a Chrome trace JSON export.
@@ -198,6 +201,14 @@ class TraceSink {
 
  private:
   void push(const TraceEvent& event);
+  /// Calls `f` on every recorded event oldest to newest, walking the
+  /// ring's two contiguous runs in place (no copy, no per-event modulo).
+  template <typename F>
+  void for_each_event(F&& f) const {
+    const std::size_t first = std::min(size_, ring_.size() - head_);
+    for (std::size_t i = head_; i < head_ + first; ++i) f(ring_[i]);
+    for (std::size_t i = 0; i < size_ - first; ++i) f(ring_[i]);
+  }
   /// Returns the cached id, re-interning when the cache belongs to a
   /// different sink lifetime (epoch mismatch).
   std::uint32_t resolve(const TraceName& name);

@@ -2,10 +2,8 @@
 
 #include <bit>
 #include <cassert>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "util/fsio.hpp"
 #include "util/strings.hpp"
@@ -15,50 +13,76 @@ namespace {
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+// Magic plus the u32 format version.
+constexpr std::size_t kStreamHeader = sizeof(kMagic) + 4;
 
-void append_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
+// Scalars are stored little-endian, which on the hosts this builds for is
+// the in-memory layout: every fixed-width append is one bulk copy of the
+// value's bytes, and every decode one copy back.
+static_assert(std::endian::native == std::endian::little,
+              "the snapshot encoding copies scalars in host byte order");
+
+template <typename T>
+void append_le(std::string& out, T v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-void append_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint16_t decode_u16(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-}
-
-std::uint32_t decode_u32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) | (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-std::uint64_t decode_u64(const char* p) {
-  std::uint64_t v = 0;
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  for (int i = 7; i >= 0; --i) v = (v << 8) | b[i];
+template <typename T>
+T decode_le(const char* p) {
+  T v{};
+  std::memcpy(&v, p, sizeof(v));
   return v;
 }
+
+std::uint16_t decode_u16(const char* p) { return decode_le<std::uint16_t>(p); }
+std::uint32_t decode_u32(const char* p) { return decode_le<std::uint32_t>(p); }
+std::uint64_t decode_u64(const char* p) { return decode_le<std::uint64_t>(p); }
 
 bool known_kind(std::uint8_t raw) {
   return raw >= static_cast<std::uint8_t>(RecordKind::kSectionBegin) &&
          raw <= static_cast<std::uint8_t>(RecordKind::kBytes);
+}
+
+// Checks a finished stream's header and checksum footer, without
+// copying it.
+Status verify_stream(std::string_view buffer) {
+  if (buffer.size() < kStreamHeader + 8) {
+    return Status::invalid_argument(str_format(
+        "snapshot: stream is %zu bytes, smaller than the %zu-byte "
+        "header+checksum — truncated or not a snapshot",
+        buffer.size(), kStreamHeader + 8));
+  }
+  if (std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) != 0) {
+    return Status::invalid_argument(
+        "snapshot: bad magic — not a DCSNAP snapshot stream");
+  }
+  const std::uint32_t version = decode_u32(buffer.data() + sizeof(kMagic));
+  if (version != kFormatVersion) {
+    return Status::failed_precondition(str_format(
+        "snapshot: format version %u, but this build reads version %u — "
+        "re-run the experiment from scratch or use a matching build",
+        version, kFormatVersion));
+  }
+  const std::uint64_t want = decode_u64(buffer.data() + buffer.size() - 8);
+  const std::uint64_t got = fnv1a(buffer.substr(0, buffer.size() - 8));
+  if (want != got) {
+    return Status::invalid_argument(str_format(
+        "snapshot: checksum mismatch (stored %016llx, computed %016llx) — "
+        "the file is corrupt or was truncated mid-write",
+        static_cast<unsigned long long>(want),
+        static_cast<unsigned long long>(got)));
+  }
+  return Status::ok();
+}
+
+// A whole snapshot file in one read; a file that cannot be opened keeps
+// the snapshot layer's own NotFound wording.
+StatusOr<std::string> read_snapshot_file(const std::string& path) {
+  auto bytes = read_file(path);
+  if (!bytes.is_ok() && bytes.status().code() == StatusCode::kNotFound) {
+    return Status::not_found("snapshot: cannot open '" + path + "'");
+  }
+  return bytes;
 }
 
 std::string joined_path(const std::vector<std::string>& stack) {
@@ -97,13 +121,15 @@ const char* record_kind_name(RecordKind kind) {
 
 SnapshotWriter::SnapshotWriter() {
   buffer_.append(kMagic, sizeof(kMagic));
-  append_u32(buffer_, kFormatVersion);
+  append_le(buffer_, kFormatVersion);
 }
 
 void SnapshotWriter::record_header(RecordKind kind, std::string_view name) {
   assert(name.size() <= 0xffff && "snapshot field name too long");
-  append_u8(buffer_, static_cast<std::uint8_t>(kind));
-  append_u16(buffer_, static_cast<std::uint16_t>(name.size()));
+  const auto name_len = static_cast<std::uint16_t>(name.size());
+  char header[3] = {static_cast<char>(kind)};
+  std::memcpy(header + 1, &name_len, sizeof(name_len));
+  buffer_.append(header, sizeof(header));
   buffer_.append(name.data(), name.size());
 }
 
@@ -120,28 +146,28 @@ void SnapshotWriter::end_section() {
 
 void SnapshotWriter::field_u64(std::string_view name, std::uint64_t value) {
   record_header(RecordKind::kU64, name);
-  append_u64(buffer_, value);
+  append_le(buffer_, value);
 }
 
 void SnapshotWriter::field_i64(std::string_view name, std::int64_t value) {
   record_header(RecordKind::kI64, name);
-  append_u64(buffer_, static_cast<std::uint64_t>(value));
+  append_le(buffer_, static_cast<std::uint64_t>(value));
 }
 
 void SnapshotWriter::field_f64(std::string_view name, double value) {
   record_header(RecordKind::kF64, name);
-  append_u64(buffer_, std::bit_cast<std::uint64_t>(value));
+  append_le(buffer_, std::bit_cast<std::uint64_t>(value));
 }
 
 void SnapshotWriter::field_bool(std::string_view name, bool value) {
   record_header(RecordKind::kBool, name);
-  append_u8(buffer_, value ? 1 : 0);
+  buffer_.push_back(value ? '\1' : '\0');
 }
 
 void SnapshotWriter::field_str(std::string_view name, std::string_view value) {
   assert(value.size() <= 0xffffffffULL);
   record_header(RecordKind::kStr, name);
-  append_u32(buffer_, static_cast<std::uint32_t>(value.size()));
+  append_le(buffer_, static_cast<std::uint32_t>(value.size()));
   buffer_.append(value.data(), value.size());
 }
 
@@ -149,7 +175,7 @@ void SnapshotWriter::field_bytes(std::string_view name, const void* data,
                                  std::size_t size) {
   assert(size <= 0xffffffffULL);
   record_header(RecordKind::kBytes, name);
-  append_u32(buffer_, static_cast<std::uint32_t>(size));
+  append_le(buffer_, static_cast<std::uint32_t>(size));
   buffer_.append(static_cast<const char*>(data), size);
 }
 
@@ -158,67 +184,38 @@ std::uint64_t SnapshotWriter::digest() const { return fnv1a(buffer_); }
 std::string SnapshotWriter::finish() const {
   assert(depth_ == 0 && "unbalanced sections at snapshot finish");
   std::string out = buffer_;
-  append_u64(out, fnv1a(buffer_));
+  append_le(out, fnv1a(buffer_));
   return out;
 }
 
-Status SnapshotWriter::write_file(const std::string& path) const {
+Status SnapshotWriter::write_file(const std::string& path) {
+  assert(depth_ == 0 && "unbalanced sections at snapshot finish");
   // Durability is delegated to atomic_write_file (util/fsio.hpp): the temp
   // file is fsync'd before the rename and the directory after, and every
   // failure path unlinks the temp file — a crash mid-write leaves either
   // the previous complete snapshot or nothing, never a partial file and
   // never a stale '.tmp'.
-  if (Status st = atomic_write_file(path, finish(), "snapshot.save");
-      !st.is_ok()) {
-    return Status::internal("snapshot: " + st.message());
-  }
+  const std::size_t body = buffer_.size();
+  append_le(buffer_, fnv1a(buffer_));
+  Status st = atomic_write_file(path, buffer_, "snapshot.save");
+  buffer_.resize(body);
+  if (!st.is_ok()) return Status::internal("snapshot: " + st.message());
   return Status::ok();
 }
 
 StatusOr<SnapshotReader> SnapshotReader::from_buffer(std::string buffer) {
-  const std::size_t header = sizeof(kMagic) + 4;
-  if (buffer.size() < header + 8) {
-    return Status::invalid_argument(str_format(
-        "snapshot: stream is %zu bytes, smaller than the %zu-byte "
-        "header+checksum — truncated or not a snapshot",
-        buffer.size(), header + 8));
-  }
-  if (std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::invalid_argument(
-        "snapshot: bad magic — not a DCSNAP snapshot stream");
-  }
-  const std::uint32_t version = decode_u32(buffer.data() + sizeof(kMagic));
-  if (version != kFormatVersion) {
-    return Status::failed_precondition(str_format(
-        "snapshot: format version %u, but this build reads version %u — "
-        "re-run the experiment from scratch or use a matching build",
-        version, kFormatVersion));
-  }
-  const std::string_view body(buffer.data(), buffer.size() - 8);
-  const std::uint64_t want = decode_u64(buffer.data() + buffer.size() - 8);
-  const std::uint64_t got = fnv1a(body);
-  if (want != got) {
-    return Status::invalid_argument(str_format(
-        "snapshot: checksum mismatch (stored %016llx, computed %016llx) — "
-        "the file is corrupt or was truncated mid-write",
-        static_cast<unsigned long long>(want),
-        static_cast<unsigned long long>(got)));
-  }
+  if (Status st = verify_stream(buffer); !st.is_ok()) return st;
   SnapshotReader reader(std::move(buffer));
-  reader.pos_ = header;
+  reader.pos_ = kStreamHeader;
   // Hide the footer from record decoding.
   reader.buffer_.resize(reader.buffer_.size() - 8);
   return reader;
 }
 
 StatusOr<SnapshotReader> SnapshotReader::from_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::not_found("snapshot: cannot open '" + path + "'");
-  }
-  std::string contents((std::istreambuf_iterator<char>(file)),
-                       std::istreambuf_iterator<char>());
-  auto reader = from_buffer(std::move(contents));
+  auto contents = read_snapshot_file(path);
+  if (!contents.is_ok()) return contents.status();
+  auto reader = from_buffer(std::move(contents).value());
   if (!reader.is_ok()) {
     return Status(reader.status().code(),
                   "'" + path + "': " + reader.status().message());
@@ -408,13 +405,9 @@ std::string SnapshotRecord::value_text() const {
 }
 
 StatusOr<std::vector<SnapshotRecord>> read_records(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::not_found("snapshot: cannot open '" + path + "'");
-  }
-  std::string buf((std::istreambuf_iterator<char>(file)),
-                  std::istreambuf_iterator<char>());
-  auto records = decode_records(std::move(buf));
+  auto buf = read_snapshot_file(path);
+  if (!buf.is_ok()) return buf.status();
+  auto records = decode_records(std::move(buf).value());
   if (!records.is_ok()) {
     return Status(records.status().code(),
                   "'" + path + "': " + records.status().message());
@@ -423,14 +416,11 @@ StatusOr<std::vector<SnapshotRecord>> read_records(const std::string& path) {
 }
 
 StatusOr<std::vector<SnapshotRecord>> decode_records(std::string buf) {
-  {
-    // Verify magic/version/checksum before walking the raw stream, so
-    // structural errors below indicate an encoder bug, not corruption.
-    auto verified = SnapshotReader::from_buffer(buf);
-    if (!verified.is_ok()) return verified.status();
-  }
+  // Verify magic/version/checksum before walking the raw stream, so
+  // structural errors below indicate an encoder bug, not corruption.
+  if (Status st = verify_stream(buf); !st.is_ok()) return st;
   buf.resize(buf.size() - 8);  // drop the checksum footer
-  std::size_t pos = sizeof(kMagic) + 4;
+  std::size_t pos = kStreamHeader;
   std::vector<std::string> stack;
   std::vector<SnapshotRecord> records;
   while (pos < buf.size()) {

@@ -84,8 +84,11 @@ class SnapshotWriter {
   /// Finishes the stream (checksum footer) and writes it atomically:
   /// the bytes land in `path + ".tmp"` first and are renamed over `path`
   /// only after a successful flush, so a SIGKILL mid-write leaves either
-  /// the previous complete file or a `.tmp` that readers ignore.
-  Status write_file(const std::string& path) const;
+  /// the previous complete file or a `.tmp` that readers ignore. The
+  /// footer is appended to the buffer in place for the write and removed
+  /// after it, so the stream is never copied and the writer is left as
+  /// it was.
+  Status write_file(const std::string& path);
 
   /// The finished stream (header + records + checksum footer), for tests
   /// and in-memory round trips.

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 
+#include "util/fsio.hpp"
 #include "util/strings.hpp"
 
 namespace dc {
@@ -181,13 +181,14 @@ StatusOr<CsvRows> parse_csv(std::string_view text,
 
 StatusOr<CsvRows> read_csv_file(const std::string& path,
                                 const CsvParseOptions& options) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
+  auto contents = read_file(path);
+  if (!contents.is_ok()) {
+    if (contents.status().code() != StatusCode::kNotFound) {
+      return contents.status();
+    }
     return Status::not_found("cannot open CSV file '" + path + "'");
   }
-  std::string contents((std::istreambuf_iterator<char>(file)),
-                       std::istreambuf_iterator<char>());
-  auto rows = parse_csv(contents, options);
+  auto rows = parse_csv(*contents, options);
   if (!rows.is_ok()) {
     return Status(rows.status().code(),
                   "'" + path + "': " + rows.status().message());

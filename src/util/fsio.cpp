@@ -3,9 +3,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
-#include <sstream>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -114,16 +115,34 @@ Status atomic_write_file(const std::string& path, std::string_view bytes,
 }
 
 StatusOr<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  struct Closer {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+  const std::unique_ptr<std::FILE, Closer> owner(
+      std::fopen(path.c_str(), "rb"));
+  std::FILE* file = owner.get();
+  if (file == nullptr) {
     return Status::not_found("cannot read '" + path + "'");
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
+  // A regular file is sized up front and read with one fread; the loop
+  // after it picks up whatever the size did not cover (a file that grew,
+  // or one whose size is no length, such as a /proc entry or a pipe). A
+  // directory is not sized: its read fails and is reported below.
+  std::string bytes;
+  std::error_code ec;
+  if (std::filesystem::is_regular_file(path, ec)) {
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (!ec) bytes.resize(static_cast<std::size_t>(size));
+  }
+  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), file));
+  char chunk[4096];
+  while (const std::size_t got = std::fread(chunk, 1, sizeof(chunk), file)) {
+    bytes.append(chunk, got);
+  }
+  if (std::ferror(file) != 0) {
     return Status::internal("I/O error reading '" + path + "'");
   }
-  return buf.str();
+  return bytes;
 }
 
 }  // namespace dc

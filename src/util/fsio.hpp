@@ -41,8 +41,10 @@ namespace dc {
 Status atomic_write_file(const std::string& path, std::string_view bytes,
                          std::string_view site = {});
 
-/// Reads a whole file into a string. NotFound when the file does not
-/// exist; other I/O failures come back as internal errors.
+/// Reads a whole file into a string: a regular file is sized first and
+/// read in one call. NotFound when the file cannot be opened; other I/O
+/// failures come back as internal errors. The snapshot, trace, CSV,
+/// journal and run-store readers all read through this one.
 StatusOr<std::string> read_file(const std::string& path);
 
 }  // namespace dc

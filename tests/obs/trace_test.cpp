@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "snapshot/format.hpp"
@@ -229,8 +232,85 @@ TEST(TraceSummary, CountsCategoriesAndSpans) {
 }
 
 TEST(TraceJson, RejectsMalformedInput) {
-  EXPECT_FALSE(parse_chrome_json("not json").is_ok());
-  EXPECT_FALSE(parse_chrome_json("{\"displayTimeUnit\":\"ms\"}").is_ok());
+  // Each input with its exact message; every rejection is InvalidArgument.
+  const std::pair<std::string_view, std::string_view> cases[] = {
+      {"not json", "trace json: expected top-level object near offset 0"},
+      {R"({"displayTimeUnit":"ms"})", "trace json: no traceEvents"},
+      // Integers: int64 overflow either way, a lone '-', and a token of
+      // 32 or more characters even when its value is small.
+      {R"({"traceEvents":[{"ts":9223372036854775808}]})",
+       "trace json: bad integer near offset 41"},
+      {R"({"traceEvents":[{"ts":-9223372036854775809}]})",
+       "trace json: bad integer near offset 42"},
+      {R"({"traceEvents":[{"ts":-}]})", "trace json: bad integer near offset 23"},
+      {R"({"traceEvents":[{"ts":00000000000000000000000000000001}]})",
+       "trace json: bad integer near offset 54"},
+      {R"({"traceEvents":[{"args":{"a0":-,"a1":1}}]})",
+       "trace json: bad integer near offset 31"},
+      // Strings cut off inside args: plain, after an escape, mid-escape.
+      {R"({"traceEvents":[{"args":{"name":"abc)",
+       "trace json: unterminated string near offset 36"},
+      {R"({"traceEvents":[{"args":{"name":"a\"bc}}]})",
+       "trace json: unterminated string near offset 42"},
+      {R"({"traceEvents":[{"args":{"na\)",
+       "trace json: unterminated string near offset 29"},
+      // Escapes the parser does not take.
+      {R"({"traceEvents":[{"name":"\u00g1"}]})",
+       "trace json: bad \\u escape near offset 30"},
+      {R"({"traceEvents":[{"name":"\u00)",
+       "trace json: bad \\u escape near offset 27"},
+      {R"({"traceEvents":[{"name":"\x"}]})",
+       "trace json: unsupported escape near offset 27"},
+  };
+  for (const auto& [json, message] : cases) {
+    SCOPED_TRACE(json);
+    auto parsed = parse_chrome_json(json);
+    ASSERT_FALSE(parsed.is_ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(parsed.status().message(), message);
+  }
+}
+
+TEST(TraceJson, AcceptsEscapesPaddedIntegersAndUnknownKeys) {
+  const std::string json =
+      "{\"note\":\"x\",\"traceEvents\":[\n"
+      R"({"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"q\"b\\s"}},)"
+      "\n"
+      R"({"ph":"i","pid":1,"tid":1,"ts":0,"s":"t","name":"a\"b\\c\nd\u0041",)"
+      R"("cat":"job","args":{"a0":1,"a1":2}},)"
+      "\n"
+      R"({"ph":"X","extra":"y","seq":3,"tid":2,"ts":-5,"dur":007,"name":"n",)"
+      R"("cat":"lease","args":{"label":"z","a0":-0,"a1":-0009}},)"
+      "\n"
+      R"({"ph":"i","tid":1,"ts":-9223372036854775808,"name":"min","cat":"job",)"
+      R"("args":{"a0":0000000000000000000000000000042}})"
+      "\n]}";
+  auto parsed = parse_chrome_json(json);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
+  const auto& events = parsed.value();
+  ASSERT_EQ(events.size(), 3u);
+
+  EXPECT_EQ(events[0].name, "a\"b\\c\ndA");
+  EXPECT_EQ(events[0].category, "job");
+  EXPECT_EQ(events[0].actor, "q\"b\\s");
+  EXPECT_EQ(events[0].phase, 'i');
+  EXPECT_EQ(events[0].a0, 1);
+  EXPECT_EQ(events[0].a1, 2);
+
+  // Unknown keys of either kind are skipped; a tid with no thread_name
+  // record becomes "tid<N>".
+  EXPECT_EQ(events[1].name, "n");
+  EXPECT_EQ(events[1].actor, "tid2");
+  EXPECT_EQ(events[1].phase, 'X');
+  EXPECT_EQ(events[1].ts_us, -5);
+  EXPECT_EQ(events[1].dur_us, 7);
+  EXPECT_EQ(events[1].a0, 0);
+  EXPECT_EQ(events[1].a1, -9);
+
+  // The int64 minimum, and a zero-padded token of 31 characters.
+  EXPECT_EQ(events[2].ts_us, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(events[2].a0, 42);
+  EXPECT_EQ(events[2].actor, "q\"b\\s");
 }
 
 TEST(TraceMacros, NullSinkIsANoOp) {

@@ -188,7 +188,9 @@ TEST_P(ExtensionSchedulerProperty, NeverOversubscribeAndAscendingPicks) {
       std::int64_t total = 0;
       for (std::size_t i = 0; i < picks.size(); ++i) {
         ASSERT_LT(picks[i], jobs.size());
-        if (i > 0) EXPECT_LT(picks[i - 1], picks[i]) << scheduler->name();
+        if (i > 0) {
+          EXPECT_LT(picks[i - 1], picks[i]) << scheduler->name();
+        }
         total += jobs[picks[i]].nodes;
       }
       EXPECT_LE(total, idle) << scheduler->name();

@@ -93,5 +93,27 @@ TEST(ReadFile, EmptyFileIsOkAndEmpty) {
   EXPECT_TRUE(bytes->empty());
 }
 
+// A directory has a size but no bytes: reading one is an I/O error, not
+// an empty file and not an attempt to allocate the directory's "size".
+TEST(ReadFile, DirectoryIsAnInternalError) {
+  const std::string dir = temp_path("fsio_dir_read");
+  fs::create_directories(dir);
+  auto bytes = read_file(dir);
+  ASSERT_FALSE(bytes.is_ok());
+  EXPECT_EQ(bytes.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(bytes.status().message(), "I/O error reading '" + dir + "'");
+}
+
+// Files whose reported size is no length (procfs reports 0) are read to
+// their end.
+TEST(ReadFile, UnsizedFileIsReadToTheEnd) {
+  std::error_code ec;
+  if (!fs::exists("/proc/self/stat", ec)) GTEST_SKIP() << "no procfs";
+  auto bytes = read_file("/proc/self/stat");
+  ASSERT_TRUE(bytes.is_ok()) << bytes.status().to_string();
+  EXPECT_FALSE(bytes->empty());
+  EXPECT_EQ(bytes->back(), '\n');
+}
+
 }  // namespace
 }  // namespace dc
