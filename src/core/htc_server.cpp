@@ -129,21 +129,25 @@ sched::JobId HtcServer::submit(SimDuration runtime, std::int64_t nodes,
 }
 
 void HtcServer::dispatch() {
-  if (queue_.empty()) return;
-  std::vector<const sched::Job*> queued;
-  queued.reserve(queue_.size());
+  // Exact early exit: every job is at least one node wide (submit asserts
+  // it) and a scheduler's picks must fit the idle nodes, so with none idle
+  // no scheduler can start anything.
+  if (queue_.empty() || dispatchable_idle() == 0) return;
+  queued_view_.clear();
   for (sched::JobId id : queue_.items()) {
-    queued.push_back(&jobs_[static_cast<std::size_t>(id)]);
+    queued_view_.push_back(&jobs_[static_cast<std::size_t>(id)]);
   }
-  std::vector<const sched::Job*> running;
-  running.reserve(running_.size());
+  running_view_.clear();
   for (sched::JobId id : running_) {
-    running.push_back(&jobs_[static_cast<std::size_t>(id)]);
+    running_view_.push_back(&jobs_[static_cast<std::size_t>(id)]);
   }
   const SimTime now = simulator_.now();
-  const std::vector<std::size_t> picks =
-      config_.scheduler->select(queued, running, dispatchable_idle(), now);
+  const std::vector<std::size_t> picks = config_.scheduler->select(
+      queued_view_, running_view_, dispatchable_idle(), now);
   if (picks.empty()) return;
+  DC_INVARIANT(std::adjacent_find(picks.begin(), picks.end(),
+                                  std::greater_equal<>()) == picks.end(),
+               "Scheduler::select must return strictly ascending positions");
 
   std::int64_t started_nodes = 0;
   for (std::size_t pos : picks) {
@@ -167,12 +171,10 @@ void HtcServer::dispatch() {
          "scheduler oversubscribed idle nodes");
   busy_ += started_nodes;
   // A pick that left some earlier-queued job behind jumped the FIFO order:
-  // in sorted position order, the picks form a 0,1,2,... prefix until the
-  // first skipped job, and everything after that gap is a backfill hit.
-  std::vector<std::size_t> sorted_picks = picks;
-  std::sort(sorted_picks.begin(), sorted_picks.end());
-  for (std::size_t i = 0; i < sorted_picks.size(); ++i) {
-    if (sorted_picks[i] != i) ++backfill_hits_;
+  // the ascending picks form a 0,1,2,... prefix until the first skipped
+  // job, and everything after that gap is a backfill hit.
+  for (std::size_t i = 0; i < picks.size(); ++i) {
+    if (picks[i] != i) ++backfill_hits_;
   }
   queue_.remove_positions(picks);
 }

@@ -338,6 +338,11 @@ class HtcServer : public fault::FaultTarget {
   };
   std::vector<RetryEvent> retry_events_;
 
+  // dispatch()'s pointer views of the queue and the running set, kept so
+  // their capacity is reused; rebuilt on every call.
+  std::vector<const sched::Job*> queued_view_;   // dc-volatile: scratch
+  std::vector<const sched::Job*> running_view_;  // dc-volatile: scratch
+
   std::function<void(const sched::Job&)> completion_callback_;  // dc-volatile: rewired by the owner
   std::function<void(SimTime)> drained_callback_;             // dc-volatile: rewired by the owner
 };

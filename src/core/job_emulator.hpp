@@ -16,16 +16,32 @@
 // runtimes divided by the factor) so tests can exercise the paper's scaled
 // mode and its interaction with the fixed one-hour billing quantum.
 //
+// Arrival streams: emulate_trace reserves one block of consecutive
+// sequence numbers for the whole trace from the kernel
+// (Simulator::reserve_seqs) and keeps only the stream's next submission
+// armed; its fire handler arms the following job, then submits its own.
+// The kernel counts the unarmed rest as pending, so event counts, seqs and
+// the dispatch order are exactly those of one event per job armed at
+// registration — (time, seq) is a total order, traces are sorted by
+// submit time and `time_scale` is monotone — while the event queue holds
+// one node per stream instead of one per future arrival, and no handler
+// allocates. Handlers point back into the emulator: it must outlive the
+// simulator's dispatch (declare it after the Simulator, or own both) and
+// is neither copyable nor movable.
+//
 // Snapshot support: every emulate_trace/emulate_at call registers a
 // *stream* — the scaled jobs plus the submit callback — in call order. A
 // snapshot records, per stream, which submissions are still pending and
-// their (time, seq); a passive emulator (constructed with passive=true)
-// records the same streams without scheduling anything, and restore()
-// re-arms exactly the pending submissions. Stream registration order is
-// the identity of a stream across save/restore, so the driver must replay
-// the same emulate_* call sequence when rebuilding the world.
+// their (time, seq), derived from the stream's cursor: always a suffix of
+// the stream with consecutive seqs. A passive emulator (constructed with
+// passive=true) records the same streams without scheduling anything, and
+// restore() checks that suffix shape and re-opens each stream at its
+// cursor. Stream registration order is the identity of a stream across
+// save/restore, so the driver must replay the same emulate_* call
+// sequence when rebuilding the world.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -41,9 +57,12 @@ class JobEmulator {
   explicit JobEmulator(sim::Simulator& simulator, double time_scale = 1.0,
                        bool passive = false)
       : simulator_(&simulator), time_scale_(time_scale), passive_(passive) {}
+  JobEmulator(const JobEmulator&) = delete;
+  JobEmulator& operator=(const JobEmulator&) = delete;
 
-  /// Schedules one submission event per trace job (unless passive). The
-  /// callback receives the (possibly time-scaled) job.
+  /// Submits every trace job at its (possibly time-scaled) submit time,
+  /// in trace order, as an arrival stream (unless passive). The callback
+  /// receives the scaled job.
   void emulate_trace(const workload::Trace& trace,
                      std::function<void(const workload::TraceJob&)> submit);
 
@@ -57,10 +76,16 @@ class JobEmulator {
   Status restore(snapshot::SnapshotReader& reader);
 
  private:
+  // One trace's submissions. scaled_jobs[next] is armed as `armed` with
+  // the first unarmed seq of block `seqs`; jobs after it wait, unarmed, in
+  // the kernel's reserved block. next == scaled_jobs.size() once drained
+  // (and in a passive emulator until restore).
   struct TraceStream {
     std::function<void(const workload::TraceJob&)> submit;
     std::vector<workload::TraceJob> scaled_jobs;
-    std::vector<sim::EventId> events;  // parallel to scaled_jobs
+    sim::Simulator::SeqBlockId seqs = 0;
+    std::size_t next = 0;
+    sim::EventId armed = sim::kInvalidEvent;
   };
   struct OneShot {
     std::function<void()> submit;
@@ -68,10 +93,14 @@ class JobEmulator {
     sim::EventId event = sim::kInvalidEvent;
   };
 
+  // Arms stream->scaled_jobs[stream->next] with its reserved seq.
+  sim::EventId arm(TraceStream* stream);
+  void fire(TraceStream* stream, std::size_t index);
+
   sim::Simulator* simulator_;
   double time_scale_;  // dc-volatile: fixed by config
   bool passive_;       // dc-volatile: fixed by config
-  std::vector<TraceStream> streams_;
+  std::deque<TraceStream> streams_;  // a deque: handlers hold stream pointers
   std::vector<OneShot> oneshots_;
 };
 

@@ -6,6 +6,7 @@
 #include <charconv>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 
 #include "util/fsio.hpp"
@@ -132,7 +133,7 @@ StatusOr<std::uint32_t> parse_trace_filter(std::string_view spec) {
 }
 
 TraceSink::TraceSink(std::size_t capacity) : epoch_(next_trace_epoch()) {
-  ring_.resize(capacity == 0 ? 1 : capacity);
+  ring_.resize(std::clamp<std::size_t>(capacity, 1, kMaxTraceCapacity));
 }
 
 std::uint32_t TraceSink::resolve(const TraceName& name) {
@@ -368,6 +369,14 @@ Status TraceSink::restore(snapshot::SnapshotReader& reader) {
   std::uint64_t filter = 0;
   std::uint64_t name_count = 0;
   if (Status s = reader.read_u64("capacity", capacity); !s.is_ok()) return s;
+  // A checksum-valid snapshot can still carry any value: bound what is
+  // about to be allocated (a sink's ring is never empty, never larger
+  // than kMaxTraceCapacity).
+  if (capacity == 0 || capacity > kMaxTraceCapacity) {
+    return Status::out_of_range(str_format(
+        "trace ring capacity %llu outside [1, %zu]",
+        static_cast<unsigned long long>(capacity), kMaxTraceCapacity));
+  }
   if (Status s = reader.read_u64("filter", filter); !s.is_ok()) return s;
   if (Status s = reader.read_u64("emitted", emitted_); !s.is_ok()) return s;
   if (Status s = reader.read_u64("dropped", dropped_); !s.is_ok()) return s;
@@ -387,6 +396,12 @@ Status TraceSink::restore(snapshot::SnapshotReader& reader) {
   std::uint64_t event_count = 0;
   std::string blob;
   if (Status s = reader.read_u64("events", event_count); !s.is_ok()) return s;
+  if (event_count > capacity) {
+    return Status::out_of_range(str_format(
+        "trace ring holds %llu events, more than its capacity %llu",
+        static_cast<unsigned long long>(event_count),
+        static_cast<unsigned long long>(capacity)));
+  }
   if (Status s = reader.read_bytes("ring", blob); !s.is_ok()) return s;
   if (blob.size() != event_count * kTraceEventPacked) {
     return Status::internal(
@@ -394,7 +409,7 @@ Status TraceSink::restore(snapshot::SnapshotReader& reader) {
                    blob.size(), static_cast<unsigned long long>(event_count),
                    kTraceEventPacked));
   }
-  ring_.assign(capacity == 0 ? 1 : capacity, TraceEvent{});
+  ring_.assign(capacity, TraceEvent{});
   head_ = 0;
   size_ = 0;
   filter_ = static_cast<std::uint32_t>(filter);
@@ -407,6 +422,17 @@ Status TraceSink::restore(snapshot::SnapshotReader& reader) {
     std::memcpy(static_cast<void*>(&event), p, kTraceEventPacked);
     if (event.name >= names_.size() || event.actor >= names_.size()) {
       return Status::internal("trace event references unknown name id");
+    }
+    // The exporters write times and durations in microseconds.
+    constexpr std::int64_t kMaxSeconds =
+        std::numeric_limits<std::int64_t>::max() / kMicrosPerSecond;
+    if (event.time > kMaxSeconds || event.time < -kMaxSeconds ||
+        event.dur > kMaxSeconds || event.dur < -kMaxSeconds) {
+      return Status::out_of_range(str_format(
+          "trace event %llu at time %lld (duration %lld) overflows the "
+          "microsecond range of the exports",
+          static_cast<unsigned long long>(i),
+          static_cast<long long>(event.time), static_cast<long long>(event.dur)));
     }
     push(event);
   }

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -79,6 +80,11 @@ struct TraceEvent {
   std::uint16_t phase = 0;  // 0 = instant, 1 = span
 };
 
+/// Largest ring a TraceSink holds (16M events, ~768 MiB); larger
+/// requested capacities are clamped, and a snapshot carrying more is
+/// rejected on restore.
+inline constexpr std::size_t kMaxTraceCapacity = std::size_t{1} << 24;
+
 /// Serialized size of one TraceEvent in the snapshot blob: the struct's
 /// fields in declaration order, little-endian, without its tail padding
 /// (category and phase read together as one u32, phase in the high half).
@@ -126,8 +132,9 @@ class TraceName {
 /// driving that run's Simulator).
 class TraceSink {
  public:
-  /// `capacity` bounds the ring; once full the oldest events are dropped
-  /// (dropped() counts them) so tracing never grows without bound.
+  /// `capacity` bounds the ring (clamped to [1, kMaxTraceCapacity]); once
+  /// full the oldest events are dropped (dropped() counts them) so tracing
+  /// never grows without bound.
   explicit TraceSink(std::size_t capacity = 1u << 16);
 
   /// Restricts recording to the categories in `mask` (kTraceAll keeps

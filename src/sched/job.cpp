@@ -17,19 +17,19 @@ const char* job_state_name(JobState state) {
 
 void JobQueue::remove_positions(const std::vector<std::size_t>& positions) {
   if (positions.empty()) return;
-  std::vector<JobId> remaining;
-  remaining.reserve(items_.size() - positions.size());
+  // Compact in place: each kept entry moves down over the removed ones.
   std::size_t next = 0;
-  for (std::size_t i = 0; i < items_.size(); ++i) {
+  std::size_t kept = positions.front();
+  for (std::size_t i = positions.front(); i < items_.size(); ++i) {
     if (next < positions.size() && positions[next] == i) {
       assert(next + 1 >= positions.size() || positions[next + 1] > i);
       ++next;
       continue;
     }
-    remaining.push_back(items_[i]);
+    items_[kept++] = items_[i];
   }
   assert(next == positions.size() && "position out of range");
-  items_ = std::move(remaining);
+  items_.resize(kept);
 }
 
 }  // namespace dc::sched

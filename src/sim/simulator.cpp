@@ -52,20 +52,85 @@ void Simulator::reserve(std::size_t expected_events) {
 // relative order is all any queue compares, so FIFO order is exactly
 // preserved. In-flight batch entries participate too — request_stop() may
 // re-push them, so their seqs must stay ordered against the queued set.
-// Amortized cost is zero.
+// So does the unarmed rest of every reserved block: its seqs are
+// consecutive and no other pending seq falls inside them, so it compacts
+// as one run of `remaining` seqs and stays contiguous. Amortized cost is
+// zero.
 void Simulator::renumber_seqs() {
   std::vector<QueueNode> nodes;
   queue_->drain_all(&nodes);
-  std::vector<QueueNode*> order;
-  order.reserve(nodes.size() + (batch_n_ - batch_i_));
-  for (QueueNode& node : nodes) order.push_back(&node);
-  for (std::uint32_t i = batch_i_; i < batch_n_; ++i) order.push_back(&batch_[i]);
+  // Each entry: the seq field to rewrite and the width of its run.
+  std::vector<std::pair<std::uint32_t*, std::uint32_t>> order;
+  order.reserve(nodes.size() + (batch_n_ - batch_i_) + seq_blocks_.size());
+  for (QueueNode& node : nodes) order.emplace_back(&node.seq, 1);
+  for (std::uint32_t i = batch_i_; i < batch_n_; ++i) {
+    order.emplace_back(&batch_[i].seq, 1);
+  }
+  for (SeqBlock& block : seq_blocks_) {
+    if (block.remaining > 0) order.emplace_back(&block.next, block.remaining);
+  }
   std::sort(order.begin(), order.end(),
-            [](const QueueNode* a, const QueueNode* b) { return a->seq < b->seq; });
+            [](const auto& a, const auto& b) { return *a.first < *b.first; });
   std::uint32_t seq = 1;
-  for (QueueNode* node : order) node->seq = seq++;
+  for (const auto& [field, width] : order) {
+    *field = seq;
+    seq += width;
+  }
   next_seq_ = seq;
   for (const QueueNode& node : nodes) queue_->push(node);
+}
+
+// ---------------------------------------------------------------------------
+// Reserved-seq blocks (arrival streams)
+
+Simulator::SeqBlockId Simulator::reserve_seqs(std::uint32_t count) {
+  // Keep the block below the counter's saturation point, as push_event
+  // does for a single seq.
+  if (count > 0xffffffffu - next_seq_) renumber_seqs();
+  assert(count <= 0xffffffffu - next_seq_ &&
+         "more pending events than 32-bit seqs can order");
+  const SeqBlockId block = open_seq_block(next_seq_, count);
+  next_seq_ += count;
+  maybe_audit();
+  return block;
+}
+
+Simulator::SeqBlockId Simulator::open_seq_block(std::uint32_t first_seq,
+                                                std::uint32_t count) {
+  seq_blocks_.push_back({first_seq, count});
+  reserved_unarmed_ += count;
+  live_events_ += count;
+  if (live_events_ > peak_pending_) peak_pending_ = live_events_;
+  return static_cast<SeqBlockId>(seq_blocks_.size() - 1);
+}
+
+EventId Simulator::arm_reserved(SimTime t, std::uint32_t slot,
+                                std::uint32_t seq) {
+  const QueueNode node{time_key(t), seq, slot};
+  const std::uint32_t gen = event(slot).gen;
+  if (batch_i_ < batch_n_ && node.time_bits == batch_[batch_n_ - 1].time_bits &&
+      seq < batch_[batch_n_ - 1].seq) {
+    // Armed from a callback of the in-flight batch (so batch_i_ >= 1: the
+    // running event's entry is consumed) with a seq older than undispatched
+    // entries. Reuse the consumed entry and shift the node to its seq
+    // position; queued same-time nodes all follow the batch's last seq.
+    assert(batch_i_ >= 1);
+    std::uint32_t i = --batch_i_;
+    while (i + 1 < batch_n_ && batch_[i + 1].seq < seq) {
+      batch_[i] = batch_[i + 1];
+      batch_gens_[i] = batch_gens_[i + 1];
+      ++i;
+    }
+    batch_[i] = node;
+    batch_gens_[i] = gen;
+    ++batch_inflight_;
+  } else if (heap_ != nullptr) {
+    heap_->push(node);
+  } else {
+    queue_->push(node);
+  }
+  maybe_audit();
+  return make_event_id(slot, gen);
 }
 
 // ---------------------------------------------------------------------------
@@ -336,13 +401,21 @@ void Simulator::begin_restore(SimTime now, std::uint32_t next_seq,
   assert(!restoring_ && "begin_restore called twice");
   assert(now_ == 0 && processed_ == 0 && live_events_ == 0 &&
          queue_->size() == 0 && event_slots_used_ == 0 &&
-         timer_slots_used_ == 0 &&
+         timer_slots_used_ == 0 && seq_blocks_.empty() &&
          "restore requires a virgin kernel (build components passively)");
   assert(now >= 0 && next_seq >= 1);
   now_ = now;
   next_seq_ = next_seq;
   processed_ = processed;
   restoring_ = true;
+}
+
+Simulator::SeqBlockId Simulator::restore_seqs(std::uint32_t first_seq,
+                                              std::uint32_t count) {
+  assert(restoring_ && "restore_seqs outside begin_restore/finish_restore");
+  assert(first_seq >= 1 && first_seq <= next_seq_ &&
+         count <= next_seq_ - first_seq && "restored seqs outside saved range");
+  return open_seq_block(first_seq, count);
 }
 
 TimerId Simulator::restore_periodic(SimTime next_fire, std::uint32_t seq,
@@ -392,6 +465,11 @@ Status Simulator::finish_restore(std::uint64_t expected_pending) {
     QueueNode node;
     if (queue_->find_slot(slot, &node)) seqs.push_back(node.seq);
   }
+  for (const SeqBlock& block : seq_blocks_) {
+    for (std::uint32_t k = 0; k < block.remaining; ++k) {
+      seqs.push_back(block.next + k);
+    }
+  }
   std::sort(seqs.begin(), seqs.end());
   for (std::size_t i = 1; i < seqs.size(); ++i) {
     if (seqs[i] == seqs[i - 1]) {
@@ -423,9 +501,21 @@ void Simulator::audit_invariants() const {
                "event slab has fewer chunks than its high-water mark");
   DC_INVARIANT(timer_chunks_.size() * kSlabChunk >= timer_slots_used_,
                "timer slab has fewer chunks than its high-water mark");
-  DC_INVARIANT(queue_->size() + batch_inflight_ == live_events_,
+  DC_INVARIANT(queue_->size() + batch_inflight_ + reserved_unarmed_ ==
+                   live_events_,
                "pending-event count diverged from the queue plus the "
-               "in-flight batch");
+               "in-flight batch plus the unarmed reserved seqs");
+  // Reserved blocks: the unarmed rest of each lies below the counter, and
+  // the rests add up to the counted-but-unqueued events.
+  std::size_t unarmed = 0;
+  for (const SeqBlock& block : seq_blocks_) {
+    if (block.remaining == 0) continue;
+    unarmed += block.remaining;
+    DC_INVARIANT(block.next >= 1 && block.remaining <= next_seq_ - block.next,
+                 "reserved seq block escaped the tie-break counter");
+  }
+  DC_INVARIANT(unarmed == reserved_unarmed_,
+               "reserved-seq accounting diverged from the open blocks");
 
   // Queue structure (heap order / calendar bucketing), plus per-node slab
   // linkage.
@@ -450,9 +540,11 @@ void Simulator::audit_invariants() const {
     DC_INVARIANT(++free_events <= event_slots_used_,
                  "event free list is cyclic");
   }
-  DC_INVARIANT(free_events + live_events_ <= event_slots_used_,
+  // Unarmed reserved seqs are pending but hold no slot.
+  const std::size_t slotted = live_events_ - reserved_unarmed_;
+  DC_INVARIANT(free_events + slotted <= event_slots_used_,
                "event slab accounting: free + pending exceeds slots");
-  DC_INVARIANT(free_events + live_events_ + 1 >= event_slots_used_,
+  DC_INVARIANT(free_events + slotted + 1 >= event_slots_used_,
                "event slab leak: more than one slot neither pending nor free");
 
   // Timer slab: alive timers always hold a pending fire event. The handle

@@ -32,6 +32,11 @@
 //     event). The default heap dispatches per-event: its pop cost is one
 //     sift-down per node either way, and eager cancel keeps its head
 //     always live, so batch bookkeeping would be pure overhead there.
+//   * Arrival streams (a trace's submissions) reserve one block of
+//     consecutive seqs up front (reserve_seqs) and keep only their next
+//     event armed (schedule_reserved): the unarmed rest is counted
+//     pending but occupies no slab slot and no queue node, so the queue
+//     holds only armed events.
 //   * Periodic timers are their own slab; a timer's fire event carries the
 //     timer's slot index, so re-arming is direct indexing — no hash
 //     lookups anywhere in the kernel.
@@ -113,6 +118,35 @@ class Simulator {
     return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
+  /// Identifies a block of reserved sequence numbers (see reserve_seqs).
+  using SeqBlockId = std::uint32_t;
+
+  /// Reserves `count` consecutive FIFO sequence numbers for an arrival
+  /// stream: events that will be armed later, one at a time and in seq
+  /// order, by schedule_reserved. Until armed, each reserved seq counts as
+  /// a pending event — pending_live(), peak_pending() and next_seq() read
+  /// exactly as if all `count` events had been scheduled now — but costs no
+  /// slab slot and no queue node. Because (time, seq) is a total order, a
+  /// stream whose times are nondecreasing and whose next event is always
+  /// armed pops in the same order as its eagerly scheduled events would.
+  SeqBlockId reserve_seqs(std::uint32_t count);
+
+  /// Arms the block's next reserved seq at time `t` (>= now()). The event
+  /// is an ordinary one-shot from here on (cancel, pending_event_info).
+  template <typename F>
+  EventId schedule_reserved(SeqBlockId block, SimTime t, F&& fn) {
+    assert(t >= now_ && "cannot schedule into the past");
+    SeqBlock& b = seq_blocks_[block];
+    assert(b.remaining > 0 && "the seq block is exhausted");
+    const std::uint32_t slot = alloc_event_slot();
+    event(slot).fn = std::forward<F>(fn);
+    assert(event(slot).fn && "callback must be callable");
+    const std::uint32_t seq = b.next++;
+    --b.remaining;
+    --reserved_unarmed_;
+    return arm_reserved(t, slot, seq);
+  }
+
   /// Cancels a pending event. Returns false if it already fired or was
   /// already cancelled. The handle check is O(1); so is queue removal.
   bool cancel(EventId id);
@@ -145,8 +179,9 @@ class Simulator {
   std::size_t peak_pending() const { return peak_pending_; }
 
   /// Number of live pending events: one-shot events not yet fired or
-  /// cancelled, plus one pending fire per active periodic timer. Exact —
-  /// cancelled events leave no residue.
+  /// cancelled, plus one pending fire per active periodic timer, plus the
+  /// unarmed seqs of reserved blocks. Exact — cancelled events leave no
+  /// residue.
   std::size_t pending_live() const { return live_events_; }
 
   /// Pre-sizes the event slab and queue for `expected_events` concurrently
@@ -217,6 +252,10 @@ class Simulator {
     assert(event(slot).fn && "callback must be callable");
     return push_event_with_seq(t, slot, seq);
   }
+
+  /// Re-opens a reserved-seq block whose unarmed rest was pending at the
+  /// snapshot: seqs [first_seq, first_seq + count), all below next_seq().
+  SeqBlockId restore_seqs(std::uint32_t first_seq, std::uint32_t count);
 
   /// Re-arms one periodic timer whose next fire was pending at the
   /// snapshot, with the fire event's saved (time, seq).
@@ -369,6 +408,16 @@ class Simulator {
     return make_event_id(slot, event(slot).gen);
   }
 
+  // Registers [first_seq, first_seq + count) as a block of unarmed seqs,
+  // each counted pending.
+  SeqBlockId open_seq_block(std::uint32_t first_seq, std::uint32_t count);
+
+  // Queues an event whose seq comes from a reserved block. It is already
+  // counted pending, and its seq may be older than entries of the in-flight
+  // batch — then it joins the batch at its seq position, so (time, seq)
+  // order holds across the batch drain too.
+  EventId arm_reserved(SimTime t, std::uint32_t slot, std::uint32_t seq);
+
   EventId schedule_timer_event(SimTime t, std::uint32_t timer_slot);
   void fire_timer(std::uint32_t timer_slot, SimTime fired_at);
   void release_timer_slot(std::uint32_t slot);
@@ -407,6 +456,17 @@ class Simulator {
   std::uint32_t batch_n_ = 0;        // drained entries
   std::size_t batch_inflight_ = 0;   // drained, not yet dispatched/cancelled
   DispatchStats dispatch_stats_;
+
+  // Reserved-seq blocks of arrival streams, in reservation order.
+  // `next` is the seq the next schedule_reserved arms; the block's unarmed
+  // rest is [next, next + remaining). Exhausted blocks stay (ids are
+  // indices) — there is one per stream, not per event.
+  struct SeqBlock {
+    std::uint32_t next;
+    std::uint32_t remaining;
+  };
+  std::vector<SeqBlock> seq_blocks_;
+  std::size_t reserved_unarmed_ = 0;  // sum of remaining; inside live_events_
 
   std::vector<std::unique_ptr<EventSlot[]>> event_chunks_;
   std::uint32_t event_slots_used_ = 0;  // high-water mark across chunks

@@ -175,6 +175,89 @@ TEST(TraceSink, SnapshotRoundTripPreservesExportBytes) {
   EXPECT_EQ(restored.intern("job.submit"), sink.intern("job.submit"));
 }
 
+// Byte surgery on a saved trace section: overwrite one record's payload
+// and re-seal the FNV-1a footer, so the stream still verifies and only
+// TraceSink::restore's own checks stand between the bytes and the ring.
+std::size_t payload_offset(const std::string& stream, snapshot::RecordKind kind,
+                           std::string_view name) {
+  std::string header(1, static_cast<char>(kind));
+  header += static_cast<char>(name.size() & 0xff);
+  header += static_cast<char>(name.size() >> 8);
+  header += name;
+  const std::size_t at = stream.find(header);
+  EXPECT_NE(at, std::string::npos) << name;
+  // kBytes payloads open with their u32 length.
+  return at + header.size() + (kind == snapshot::RecordKind::kBytes ? 4 : 0);
+}
+
+void put_le(std::string& stream, std::size_t at, std::uint64_t value) {
+  for (int b = 0; b < 8; ++b) {
+    stream[at + b] = static_cast<char>((value >> (8 * b)) & 0xff);
+  }
+}
+
+void reseal(std::string& stream) {
+  stream.resize(stream.size() - 8);
+  const std::uint64_t digest = snapshot::fnv1a(stream);
+  stream.append(8, '\0');
+  put_le(stream, stream.size() - 8, digest);
+}
+
+Status restore_from(const std::string& stream) {
+  auto reader = snapshot::SnapshotReader::from_buffer(stream);
+  if (!reader.is_ok()) return reader.status();
+  TraceSink restored;
+  return restored.restore(reader.value());
+}
+
+TEST(TraceSink, RestoreRejectsOutOfRangeResealedSections) {
+  TraceSink sink(/*capacity=*/4);
+  sink.instant(kMinute, TraceCategory::kJob, "job.submit", "p", 1);
+  sink.span(kHour, kMinute, TraceCategory::kLease, "lease.hold", "p", 2);
+  snapshot::SnapshotWriter writer;
+  sink.save(writer);
+  const std::string saved = writer.finish();
+  ASSERT_TRUE(restore_from(saved).is_ok());
+
+  const std::size_t capacity_at =
+      payload_offset(saved, snapshot::RecordKind::kU64, "capacity");
+  const std::size_t ring_at =
+      payload_offset(saved, snapshot::RecordKind::kBytes, "ring");
+  constexpr std::int64_t kMaxSeconds =
+      std::numeric_limits<std::int64_t>::max() / 1000000;
+  struct Case {
+    const char* what;
+    std::size_t at;
+    std::uint64_t value;
+  };
+  const Case cases[] = {
+      {"zero capacity", capacity_at, 0},
+      {"capacity above the maximum", capacity_at, kMaxTraceCapacity + 1},
+      {"capacity that cannot be allocated", capacity_at, std::uint64_t{1} << 62},
+      {"more events than the capacity", capacity_at, 1},
+      // Event 0 packs time at byte 0; event 1 (the span) its duration at 8.
+      {"time past the microsecond range", ring_at,
+       static_cast<std::uint64_t>(kMaxSeconds + 1)},
+      {"negative time past the microsecond range", ring_at,
+       static_cast<std::uint64_t>(-kMaxSeconds - 1)},
+      {"duration past the microsecond range", ring_at + kTraceEventPacked + 8,
+       static_cast<std::uint64_t>(kMaxSeconds + 1)},
+  };
+  for (const Case& c : cases) {
+    std::string bytes = saved;
+    put_le(bytes, c.at, c.value);
+    reseal(bytes);
+    const Status status = restore_from(bytes);
+    EXPECT_EQ(status.code(), StatusCode::kOutOfRange)
+        << c.what << ": " << status.to_string();
+  }
+  // The largest representable time still restores and exports.
+  std::string edge = saved;
+  put_le(edge, ring_at, static_cast<std::uint64_t>(kMaxSeconds));
+  reseal(edge);
+  EXPECT_TRUE(restore_from(edge).is_ok());
+}
+
 TEST(TraceDiff, IdenticalTracesMatch) {
   TraceSink sink;
   sink.instant(1, TraceCategory::kJob, "job.submit", "p", 1);

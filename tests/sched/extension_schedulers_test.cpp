@@ -2,6 +2,7 @@
 
 #include "sched/conservative_backfill.hpp"
 #include "sched/easy_backfill.hpp"
+#include "sched/fcfs.hpp"
 #include "sched/first_fit.hpp"
 #include "sched/sjf.hpp"
 #include "util/rng.hpp"
@@ -161,14 +162,23 @@ TEST(EasyBackfill, JobEndingThisInstantIsNotYetFree) {
 
 // --- Cross-checks ---------------------------------------------------------------
 
+// The Scheduler::select contract every server relies on, for all five
+// policies: picks are strictly ascending queue positions whose widths fit
+// the idle nodes — so with no idle node there are no picks, which is what
+// lets HtcServer::dispatch skip select() then and use the picks unsorted.
 class ExtensionSchedulerProperty
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ExtensionSchedulerProperty, NeverOversubscribeAndAscendingPicks) {
   Rng rng(GetParam());
+  FirstFitScheduler first_fit;
+  FcfsScheduler fcfs;
+  EasyBackfillScheduler easy;
   SjfScheduler sjf;
   ConservativeBackfillScheduler conservative;
-  for (int round = 0; round < 40; ++round) {
+  const std::initializer_list<const Scheduler*> schedulers{
+      &first_fit, &fcfs, &easy, &sjf, &conservative};
+  for (int round = 0; round < 60; ++round) {
     std::vector<std::int64_t> widths;
     std::vector<SimDuration> runtimes;
     const std::int64_t count = rng.uniform_int(0, 30);
@@ -180,11 +190,14 @@ TEST_P(ExtensionSchedulerProperty, NeverOversubscribeAndAscendingPicks) {
     std::vector<Job> running_jobs = make_jobs({rng.uniform_int(1, 8)},
                                               {rng.uniform_int(1, 5000)});
     running_jobs[0].start = 0;
-    const std::int64_t idle = rng.uniform_int(0, 40);
-    for (const Scheduler* scheduler :
-         std::initializer_list<const Scheduler*>{&sjf, &conservative}) {
+    // Every third round has no idle node at all.
+    const std::int64_t idle = round % 3 == 0 ? 0 : rng.uniform_int(0, 40);
+    for (const Scheduler* scheduler : schedulers) {
       const auto picks =
           scheduler->select(views(jobs), views(running_jobs), idle, 0);
+      if (idle == 0) {
+        EXPECT_TRUE(picks.empty()) << scheduler->name();
+      }
       std::int64_t total = 0;
       for (std::size_t i = 0; i < picks.size(); ++i) {
         ASSERT_LT(picks[i], jobs.size());

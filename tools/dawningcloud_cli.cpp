@@ -879,6 +879,11 @@ int cmd_replay_window(const std::map<std::string, std::string>& flags) {
   }
   std::int64_t capacity = 0;
   if (!flag_int(flags, "trace-capacity", capacity) || capacity < 0) return 2;
+  if (static_cast<std::uint64_t>(capacity) > obs::kMaxTraceCapacity) {
+    std::fprintf(stderr, "--trace-capacity: at most %zu events\n",
+                 obs::kMaxTraceCapacity);
+    return 2;
+  }
 
   auto window = rundb::replay_window(model, *workload, options, snapshot_file,
                                      until, static_cast<std::size_t>(capacity),
